@@ -2,8 +2,8 @@
 
 Unlike the artifact benchmarks one directory up (which regenerate paper
 tables), this package measures *performance*: conv forward kernels, the
-Table-I CNN forward on the reference tape path vs. the
-:class:`~repro.nn.tensor.inference_mode` fast path, SelectiveNet
+Table-I CNN forward on the reference tape path vs. the tape-free
+:class:`~repro.nn.tensor.no_grad` path, compiled inference, SelectiveNet
 end-to-end prediction, and one training epoch.
 
 Run it as a module::

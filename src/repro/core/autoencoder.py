@@ -22,6 +22,7 @@ import numpy as np
 from .. import nn
 from ..data.dataset import WaferDataset
 from ..data.wafer import grid_to_tensor
+from ..nn.compile import compiled_for
 
 __all__ = ["AutoencoderConfig", "ConvAutoencoder", "train_autoencoder"]
 
@@ -100,38 +101,48 @@ class ConvAutoencoder(nn.Module):
         return self.decode(self.encode(x))
 
     # ------------------------------------------------------------------
-    def _stream(self, fn, inputs: np.ndarray, item_shape: Tuple[int, ...],
-                batch_size: int) -> np.ndarray:
-        """Run ``fn`` chunk-wise on the inference fast path.
+    def _stream(self, stages: Tuple[nn.Sequential, ...], inputs: np.ndarray,
+                item_shape: Tuple[int, ...], batch_size: int) -> np.ndarray:
+        """Run the ``stages`` chunk-wise through their compiled graphs.
 
-        Writes into a preallocated ``(N,) + item_shape`` output so peak
-        memory stays fixed regardless of ``len(inputs)``.
+        Each stage (``encoder`` and/or ``decoder``) runs compiled; one
+        the compiler cannot cover falls back to its plain layers under
+        ``no_grad`` (see :meth:`~repro.nn.compile.CompiledModule.__call__`),
+        with bit-identical results.  Writes into a preallocated
+        ``(N,) + item_shape`` output so peak memory stays fixed
+        regardless of ``len(inputs)``.
         """
         count = len(inputs)
         dtype = next(iter(self.parameters())).dtype
         out = np.empty((count,) + item_shape, dtype=dtype)
-        with nn.inference_mode():
-            was_training = self.training
-            self.eval()
-            for start in range(0, count, batch_size):
-                stop = min(start + batch_size, count)
-                out[start:stop] = fn(nn.Tensor(inputs[start:stop])).data
-            self.train(was_training)
+        was_training = self.training
+        self.eval()
+        compiled = [compiled_for(stage) for stage in stages]
+        for start in range(0, count, batch_size):
+            chunk = inputs[start:start + batch_size]
+            for stage in compiled:
+                (chunk,) = stage(chunk)
+            out[start:start + batch_size] = chunk
+        self.train(was_training)
         return out
 
     def reconstruct(self, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Batched inference returning reconstructions as a numpy array."""
         size = self.config.input_size
-        return self._stream(self.forward, inputs, (1, size, size), batch_size)
+        return self._stream(
+            (self.encoder, self.decoder), inputs, (1, size, size), batch_size
+        )
 
     def encode_numpy(self, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Batched latent extraction (Algorithm 1, line 3)."""
-        return self._stream(self.encode, inputs, self.config.latent_shape, batch_size)
+        return self._stream(
+            (self.encoder,), inputs, self.config.latent_shape, batch_size
+        )
 
     def decode_numpy(self, latents: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Batched decoding (Algorithm 1, line 6)."""
         size = self.config.input_size
-        return self._stream(self.decode, latents, (1, size, size), batch_size)
+        return self._stream((self.decoder,), latents, (1, size, size), batch_size)
 
 
 def train_autoencoder(

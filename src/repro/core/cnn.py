@@ -125,13 +125,13 @@ class WaferCNN(nn.Module):
     def predict_proba(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Softmax class probabilities for a ``(N, 1, H, W)`` array.
 
-        Streams fixed-size chunks through the
-        :class:`~repro.nn.tensor.inference_mode` fast path into a
-        preallocated output, so peak memory does not grow with ``N``.
+        Streams fixed-size chunks through the compiled graph
+        (:func:`~repro.nn.compile.compiled_for`) into a preallocated
+        output, so peak memory does not grow with ``N``.
         """
         count = len(inputs)
         probabilities = np.empty((count, self.num_classes), dtype=self.head.weight.dtype)
-        with nn.inference_mode():
+        with nn.no_grad():
             was_training = self.training
             self.eval()
             compiled = compiled_for(self)

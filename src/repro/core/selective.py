@@ -148,17 +148,17 @@ class SelectiveNet(nn.Module):
         Selection scores are pre-sigmoid logits (see
         :class:`SelectivePrediction` for why).
 
-        Runs on the :class:`~repro.nn.tensor.inference_mode` fast path
-        with fixed memory: outputs are written into preallocated
-        arrays chunk by chunk, and the per-batch conv scratch buffers
-        are reused across chunks, so peak memory is independent of
-        ``len(inputs)`` (beyond the outputs themselves).
+        Runs the compiled graph (:func:`~repro.nn.compile.compiled_for`)
+        with fixed memory: outputs are written into preallocated arrays
+        chunk by chunk, and the compiled arena is reused across chunks,
+        so peak memory is independent of ``len(inputs)`` (beyond the
+        outputs themselves).
         """
         count = len(inputs)
         dtype = self.prediction_head.weight.dtype
         probabilities = np.empty((count, self.num_classes), dtype=dtype)
         scores = np.empty((count,), dtype=dtype)
-        with nn.inference_mode():
+        with nn.no_grad():
             was_training = self.training
             self.eval()
             compiled = compiled_for(self)

@@ -10,9 +10,9 @@ The pipeline::
 Entry points:
 
 * ``nn.compile(model)`` — the module itself is callable; returns a
-  :class:`CompiledModule` whose runs are bit-identical to eager
-  ``inference_mode`` and which falls back to eager for anything the
-  compiler does not cover;
+  :class:`CompiledModule` whose runs are bit-identical to the plain
+  layers under ``no_grad`` and which falls back to them for anything
+  the compiler does not cover;
 * :func:`compiled_for` — process-local cached wrapper, used by the
   model predict paths and the serving engine;
 * :func:`register_tracer` / :func:`register_graph_factory` /

@@ -6,14 +6,14 @@ The contract, end to end:
   live model — parameters are *bound by reference* (re-read every run),
   so optimizer steps and ``load_state_dict`` are picked up without
   recompiling.
-* Compiled outputs are **bit-identical** to the eager
-  :class:`~repro.nn.tensor.inference_mode` outputs for the same inputs
-  (pinned by the parity test wall).
+* Compiled outputs are **bit-identical** to the plain layers run
+  under :class:`~repro.nn.tensor.no_grad` for the same inputs (pinned
+  by the parity test wall).
 * Anything the compiler does not cover — unknown layer types, layer
   subclasses, training-mode dropout/batch-norm, hooked modules — makes
   :meth:`CompiledModule.try_run` return ``None`` and bumps the
   ``compile.fallbacks`` counter; it never raises at the call site.
-  Callers keep their eager path as the fallback arm.
+  Callers keep the plain layers under ``no_grad`` as the fallback arm.
 
 Graphs are compiled per ``(input shape, dtype)`` and cached on the
 :class:`CompiledModule`; model classes outside :mod:`repro.nn` (e.g.
@@ -42,7 +42,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..layers.base import Module
-from ..tensor import _as_array
+from ..tensor import Tensor, _as_array, no_grad
 from .backend import get_backend
 from .executor import CompiledGraph
 from .fuse import fuse_graph
@@ -306,13 +306,11 @@ class CompiledModule:
         output arrays the traced graph defines (for a plain ``Module``,
         the forward output).
         """
-        data = x.data if hasattr(x, "data") else _as_array(x)
+        data = x.data if isinstance(x, Tensor) else _as_array(x)
         outputs = self.try_run(data)
         if outputs is not None:
             return outputs
-        from ..tensor import Tensor, inference_mode
-
-        with inference_mode():
+        with no_grad():
             result = self.model(Tensor(data))
         if isinstance(result, tuple):
             return tuple(t.data for t in result)

@@ -13,11 +13,12 @@ Backends register by name in a process-wide table
 BLAS-batched implementation is a registration, not a rewrite of the
 compiler: trace, fusion, and planning are backend-agnostic.
 
-The stock :class:`NumpyBackend` mirrors the eager inference fast paths
-*operation for operation* — same gather maps, same GEMM call shapes,
-same in-place bias/activation sequence, same NHWC pooling reduction —
-so compiled outputs are bit-identical to eager ``inference_mode``
-outputs (pinned by ``tests/compile/test_compile_parity.py``).
+The stock :class:`NumpyBackend` replays the eager tape-free operators
+*value for value* — same gather maps, same GEMM call shapes, the same
+scalar bias/activation arithmetic (in place on the GEMM output), and
+exact max/mean pooling reductions — so compiled outputs are
+bit-identical to the plain layers under ``no_grad`` (pinned by
+``tests/compile/test_compile_parity.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Backend:
         freshly-owned array (often a zero-copy layout view) to its
         consumers through the run environment instead of filling a
         preallocated buffer.  This is how a conv kernel avoids the
-        NHWC→NCHW materialization copy the eager fast path never pays.
+        NHWC→NCHW materialization copy the eager conv never pays.
         """
         return False
 
@@ -112,11 +113,11 @@ def _is_conv_kernel(kernel: Kernel) -> bool:
 
 
 class NumpyBackend(Backend):
-    """Reference interpreter: the eager numpy fast paths, arena-hosted.
+    """Reference interpreter: the eager tape-free operators, arena-hosted.
 
-    Every lowering below replays the exact numpy call sequence of the
-    corresponding eager inference path, because bit-identical parity is
-    part of the compiled path's contract.  Change one only together
+    Every lowering below computes exactly the values of the
+    corresponding eager ``no_grad`` operator, because bit-identical
+    parity is part of the compiled path's contract.  Change one only together
     with its eager twin (and the parity wall will tell you if you
     forget).
     """
@@ -231,7 +232,6 @@ class NumpyBackend(Backend):
         # The output is *published*, not copied out (hosts_output):
         # pooled convs hand over the pooling reduction's fresh array,
         # unpooled convs a transposed view of a fresh GEMM buffer —
-        # the exact objects (and allocations) of the eager fast path,
         # with no NCHW materialization copy in either case.
         def run(env: dict) -> None:
             x = get_x(env)

@@ -9,9 +9,7 @@ coalescing free list).  The compiled executor therefore performs no
 large allocations per run at all: one arena, planned once, reused for
 every batch of the same geometry.
 
-This subsumes the eager path's ad-hoc scratch pools
-(:class:`repro.nn.functional._ScratchPool`) on the compiled path: conv
-column matrices and GEMM outputs are just arena intervals with
+Conv column matrices and GEMM outputs are just arena intervals with
 kernel-local lifetimes.
 
 Alignment is 64 bytes so every planned view is SIMD/BLAS friendly

@@ -1,8 +1,8 @@
 """Compiler smoke check: ``python -m repro.nn.compile.smoke``.
 
 Builds a small Table-I-shaped CNN and a SelectiveNet, compiles both,
-and asserts the compiled outputs are **bit-identical** to the eager
-``inference_mode`` outputs.  Prints a one-line JSON summary and exits
+and asserts the compiled outputs are **bit-identical** to the plain
+layers run under ``no_grad`` (``eager_only``).  Prints a one-line JSON summary and exits
 nonzero on any mismatch, so CI (``scripts/check.sh``) can gate on it in
 a few seconds.
 

@@ -39,9 +39,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
-    "inference_mode",
     "is_grad_enabled",
-    "is_inference_mode",
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
@@ -56,12 +54,6 @@ class _GradMode:
     """Process-wide switch that disables tape recording inside ``no_grad``."""
 
     enabled = True
-
-
-class _InferenceMode:
-    """Process-wide switch for the serving fast path (``inference_mode``)."""
-
-    active = False
 
 
 class _DtypeState:
@@ -89,47 +81,9 @@ class no_grad:
         _GradMode.enabled = self._prev
 
 
-class inference_mode(no_grad):
-    """The serving fast path: ``no_grad`` plus layout/fusion optimizations.
-
-    Inside this context, no backward closures are ever constructed, and
-    the spatial operators in :mod:`repro.nn.functional` are allowed to
-
-    * reuse process-wide im2col/col2im scratch buffers instead of
-      allocating fresh ones per call,
-    * fuse conv → bias → ReLU into a single in-place pass
-      (:class:`~repro.nn.layers.container.Sequential` performs the
-      pairing), and
-    * skip the argmax bookkeeping in pooling that only backward needs.
-
-    The numerical results are identical to the reference tape path up
-    to floating-point associativity (the parity tests in
-    ``tests/nn/test_parity.py`` pin this down); only speed and memory
-    behaviour differ.  Every batched ``predict`` in :mod:`repro.core`
-    runs under this context.
-
-    Not thread-safe (like ``no_grad``): the flag is process-global.
-    """
-
-    def __enter__(self) -> "inference_mode":
-        super().__enter__()
-        self._prev_inference = _InferenceMode.active
-        _InferenceMode.active = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _InferenceMode.active = self._prev_inference
-        super().__exit__(*exc)
-
-
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
     return _GradMode.enabled
-
-
-def is_inference_mode() -> bool:
-    """Return whether the :class:`inference_mode` fast path is active."""
-    return _InferenceMode.active
 
 
 def get_default_dtype() -> np.dtype:

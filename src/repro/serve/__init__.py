@@ -1,6 +1,6 @@
 """``repro.serve`` — high-throughput online inference engine.
 
-Turns the single-forward speedups of the nn fast path and the process
+Turns the single-forward speedups of the compiled nn path and the process
 machinery of :mod:`repro.parallel` into *serving throughput* for the
 paper's deployment setting (a fab classifying a continuous wafer
 stream, Sec. I / Fig. 1).  Four cooperating pieces:
@@ -15,7 +15,7 @@ stream, Sec. I / Fig. 1).  Four cooperating pieces:
   replicas in worker processes fed through a shared-memory arena;
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, tying the three
   together with obs metrics, per-batch timer spans, and idle-time
-  scratch reclamation;
+  arena reclamation;
 * :mod:`~repro.serve.gateway` — :class:`Gateway`, the asyncio traffic
   front door: length-prefixed JSON-over-TCP
   (:mod:`~repro.serve.protocol`), per-tenant token-bucket admission

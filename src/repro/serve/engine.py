@@ -18,8 +18,8 @@ Every lane (model replica) has a dedicated runner thread, so N
 replicas keep N batches in flight.  The engine records queue depth,
 cache hit counters, per-request latency and per-batch size/compute
 histograms into a :class:`repro.obs.MetricsRegistry`, per-batch spans
-into per-lane :class:`repro.obs.TimerTree`\\ s, and frees the nn
-inference scratch (parent *and* replicas) after ``idle_reclaim_s`` of
+into per-lane :class:`repro.obs.TimerTree`\\ s, and frees the compiled
+inference arenas (parent *and* replicas) after ``idle_reclaim_s`` of
 silence so memory is reclaimed between traffic bursts.
 """
 
@@ -128,8 +128,8 @@ class ServeConfig:
         Override of the model's acceptance threshold ``tau`` (selection
         logit); ``None`` uses ``model.threshold``.
     idle_reclaim_s:
-        Idle seconds after which inference scratch is freed and memory
-        gauges refreshed.
+        Idle seconds after which compiled inference arenas are freed and
+        memory gauges refreshed.
     breaker_failures:
         Consecutive backend failures on one lane that open its circuit
         breaker (subsequent batches skip the backend until a half-open
@@ -982,7 +982,7 @@ class ServeEngine:
         record_flight_event("serve_fallback", lane=lane, batch=len(inputs))
         if batch_span is not None:
             batch_span.event("fallback", lane=lane)
-        # predict_batched shares inference scratch; one lane at a time.
+        # predict_batched shares the compiled arena; one lane at a time.
         with self._fallback_lock:
             return gen.fallback_infer(inputs)
 
@@ -1029,7 +1029,7 @@ class ServeEngine:
         return summarize_snapshot(self.telemetry_snapshot())
 
     def _idle_reclaim(self, gen: _Generation) -> None:
-        """Free inference scratch once per idle period (all lanes race)."""
+        """Free compiled arenas once per idle period (all lanes race)."""
         with self._idle_lock:
             if self._reclaimed:
                 return
@@ -1040,4 +1040,3 @@ class ServeEngine:
     def _publish_memory_gauges(self) -> None:
         """Mirror nn memory introspection into the registry."""
         self._registry.gauge("nn.index_cache_nbytes").set(F.index_cache_nbytes())
-        self._registry.gauge("nn.inference_scratch_nbytes").set(F.scratch_nbytes())

@@ -1,20 +1,26 @@
 """Fallback semantics: anything uncovered returns ``None``, never raises.
 
 Callers (``predict_proba``, ``predict_batched``, serve replicas) keep
-their eager path as the fallback arm, so ``try_run`` degrading to
-``None`` — with the ``compile.fallbacks`` counter bumped — is the whole
-failure contract.  These tests also pin the compile telemetry counters.
+the plain layers under ``no_grad`` as the fallback arm, so ``try_run``
+degrading to ``None`` — with the ``compile.fallbacks`` counter bumped —
+is the whole failure contract.  These tests also pin the compile
+telemetry counters, and that every shipped predict path compiles: a
+layer the compiler cannot trace would otherwise move a predict path
+onto the plain layers silently (about 1.6x slower for the autoencoder).
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.autoencoder import AutoencoderConfig, ConvAutoencoder
 from repro.core.cnn import BackboneConfig, WaferCNN
+from repro.core.selective import SelectiveNet
 from repro.nn.compile import (
     CompiledModule,
     backend_names,
     compile_module,
+    compiled_for,
     eager_only,
     get_backend,
     is_enabled,
@@ -189,3 +195,58 @@ def test_wafer_cnn_falls_back_cleanly_when_disabled():
         eager = model.predict_proba(x, batch_size=2)
     compiled = model.predict_proba(x, batch_size=2)
     np.testing.assert_array_equal(compiled, eager)
+
+
+#: Table I at 64x64, and the 32x32 deployment backbone that the gateway
+#: serves.
+PREDICT_CONFIGS = {
+    "table1_64": BackboneConfig(),
+    "deploy_32": BackboneConfig(
+        input_size=32, conv_channels=(16, 16, 32), conv_kernels=(3, 3, 3),
+        fc_units=128,
+    ),
+}
+
+
+def _assert_predict_compiles(modules, predict, size):
+    """``try_run`` covers every module, and ``predict`` never falls back."""
+    x = np.random.default_rng(0).random((3, 1, size, size)).astype(np.float32)
+    chunk = x
+    for module in modules:
+        outputs = compiled_for(module).try_run(chunk)
+        assert outputs is not None, f"{type(module).__name__} did not compile"
+        chunk = outputs[0]
+    fallbacks = counter("compile.fallbacks")
+    lookups = counter("compile.cache_hits") + counter("compile.cache_misses")
+    predict(x)
+    assert counter("compile.fallbacks") == fallbacks
+    assert counter("compile.cache_hits") + counter("compile.cache_misses") > lookups
+
+
+@pytest.mark.parametrize("config", sorted(PREDICT_CONFIGS))
+@pytest.mark.parametrize(
+    "model_cls, method",
+    [(WaferCNN, "predict_proba"), (SelectiveNet, "predict_batched")],
+)
+def test_backbone_predict_path_compiles(model_cls, method, config):
+    model = model_cls(9, config=PREDICT_CONFIGS[config])
+    model.eval()
+    predict = getattr(model, method)
+    _assert_predict_compiles(
+        [model], lambda x: predict(x, batch_size=2), model.config.input_size
+    )
+
+
+@pytest.mark.parametrize(
+    "method, stages",
+    [("reconstruct", ("encoder", "decoder")), ("encode_numpy", ("encoder",))],
+)
+def test_autoencoder_predict_path_compiles(method, stages):
+    model = ConvAutoencoder(AutoencoderConfig())
+    model.eval()
+    predict = getattr(model, method)
+    _assert_predict_compiles(
+        [getattr(model, stage) for stage in stages],
+        lambda x: predict(x, batch_size=2),
+        model.config.input_size,
+    )

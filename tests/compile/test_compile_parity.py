@@ -1,8 +1,8 @@
-"""Bit-identity wall: compiled outputs == eager ``inference_mode`` outputs.
+"""Bit-identity wall: compiled outputs == plain ``no_grad`` layer outputs.
 
 The compiler's core contract is that opting in changes *nothing* about
-the numbers: every kernel replays the exact numpy call sequence of its
-eager twin, so outputs must be bit-identical (``assert_array_equal``,
+the numbers: every kernel computes exactly the values of its eager
+tape-free twin, so outputs must be bit-identical (``assert_array_equal``,
 no tolerance) in both float32 and the float64 verification mode.
 """
 
@@ -18,7 +18,7 @@ DTYPES = [np.float32, np.float64]
 
 
 def eager_forward(model, x):
-    with eager_only(), nn.inference_mode():
+    with eager_only(), nn.no_grad():
         return model(nn.Tensor(x)).data
 
 

@@ -86,7 +86,7 @@ def test_plan_liveness_disjoint_and_runs_bit_identical(stack):
     compiled = CompiledGraph(program, plan, backend)
     x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
     (result,) = compiled.run(x)
-    with eager_only(), nn.inference_mode():
+    with eager_only(), nn.no_grad():
         expected = model(nn.Tensor(x)).data
     np.testing.assert_array_equal(result, expected)
 

@@ -1,10 +1,10 @@
-"""Parity tests: the inference fast path against the reference tape path.
+"""Parity tests: the inference paths against the reference tape path.
 
 The tape path in float64 is the ground truth (it is what the gradcheck
-sweep validates).  Every fast-path ingredient — ``inference_mode``'s
-tape-free branches, the fused conv→ReLU(→pool) kernels, scratch-buffer
-reuse, and the float32 default dtype — must reproduce it to within
-float32 round-off on real model graphs.
+sweep validates).  Every inference ingredient — the tape-free
+``no_grad`` branches, the compiled predict paths, and the float32
+default dtype — must reproduce it to within float32 round-off on real
+model graphs.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro import nn
 from repro.core.autoencoder import AutoencoderConfig, ConvAutoencoder
 from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import SelectiveNet
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 #: Max abs logit difference allowed between float32 fast path and
@@ -46,7 +45,7 @@ class TestModelParity:
         with nn.default_dtype(np.float64):
             reference = twin(Tensor(x.astype(np.float64), requires_grad=True))
         assert reference._backward is not None  # genuinely the tape path
-        with nn.inference_mode():
+        with nn.no_grad():
             fast = model(Tensor(x))
 
         assert fast.dtype == np.float32
@@ -97,36 +96,16 @@ class TestModelParity:
             prediction.selection_scores, ref_scores, atol=LOGIT_TOL
         )
 
-    def test_fused_sequential_matches_unfused_float32(self, rng):
-        """Fusion changes scheduling, not math: float32 outputs are equal."""
-        model = nn.Sequential(
-            nn.Conv2D(1, 4, 3, padding="same", rng=rng),
-            nn.ReLU(),
-            nn.MaxPool2D(2),
-            nn.Conv2D(4, 3, 3, rng=rng),
-            nn.ReLU(),
-            nn.Flatten(),
-        )
-        model.eval()
-        x = rng.normal(size=(2, 1, 12, 12)).astype(np.float32)
-
-        with nn.no_grad():  # layer-by-layer (no fusion outside inference_mode)
-            unfused = model(Tensor(x)).data
-        with nn.inference_mode():
-            fused = model(Tensor(x)).data
-
-        np.testing.assert_allclose(fused, unfused, atol=1e-6)
-
 
 class TestInferenceModeSemantics:
     def test_no_tape_and_no_grad_buffers(self, rng):
-        """inference_mode predict records nothing and touches no grads."""
+        """no_grad and predict_proba record nothing and touch no grads."""
         config = BackboneConfig(**SMALL_BACKBONE)
         model = WaferCNN(num_classes=4, config=config)
         model.zero_grad()
         x = rng.normal(size=(3, 1, 16, 16)).astype(np.float32)
 
-        with nn.inference_mode():
+        with nn.no_grad():
             out = model(Tensor(x, requires_grad=True))
 
         assert out._backward is None
@@ -138,35 +117,6 @@ class TestInferenceModeSemantics:
         model.predict_proba(x, batch_size=2)
         for name, param in model.named_parameters():
             assert param.grad is None, name
-
-    def test_nesting_and_exception_safety(self):
-        assert not nn.is_inference_mode()
-        with nn.inference_mode():
-            assert nn.is_inference_mode()
-            assert not nn.is_grad_enabled()
-            with nn.inference_mode():
-                assert nn.is_inference_mode()
-            assert nn.is_inference_mode()
-        assert not nn.is_inference_mode()
-        assert nn.is_grad_enabled()
-
-        with pytest.raises(RuntimeError):
-            with nn.inference_mode():
-                raise RuntimeError("boom")
-        assert not nn.is_inference_mode()
-        assert nn.is_grad_enabled()
-
-    def test_scratch_buffers_never_alias_outputs(self, rng):
-        """A later same-shape conv must not overwrite earlier results."""
-        layer = nn.Conv2D(1, 2, 3, rng=rng)
-        layer.eval()
-        a = Tensor(rng.normal(size=(2, 1, 8, 8)).astype(np.float32))
-        b = Tensor(rng.normal(size=(2, 1, 8, 8)).astype(np.float32))
-        with nn.inference_mode():
-            out_a = layer(a)
-            snapshot = out_a.data.copy()
-            layer(b)
-        np.testing.assert_array_equal(out_a.data, snapshot)
 
     def test_default_dtype_controls_coercion(self):
         assert nn.get_default_dtype() == np.float32
@@ -185,16 +135,3 @@ class TestInferenceModeSemantics:
         assert all(p.dtype == np.float32 for p in layer.parameters())
         with pytest.raises(TypeError):
             layer.astype(np.int64)
-
-    def test_scratch_pool_is_bounded_and_clearable(self, rng):
-        F.clear_scratch()
-        layer = nn.Conv2D(1, 2, 3, rng=rng)
-        layer.eval()
-        x = Tensor(rng.normal(size=(2, 1, 8, 8)).astype(np.float32))
-        with nn.inference_mode():
-            layer(x)
-            first = F.scratch_nbytes()
-            layer(x)
-            assert F.scratch_nbytes() == first  # reused, not regrown
-        F.clear_scratch()
-        assert F.scratch_nbytes() == 0
