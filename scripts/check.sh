@@ -102,6 +102,24 @@ print(
 print(f"poison outcome:  {scenario['poison_outcome']} (gate: rolled_back)")
 PY
 
+echo "== committed BENCH_train.json schema + hot-path kernel cases =="
+python - benchmarks/perf/BENCH_train.json <<'PY'
+import json, sys
+with open(sys.argv[1]) as handle:
+    suite = json.load(handle)
+if suite.get("schema") != 1 or suite.get("suite") != "train":
+    sys.exit("FAIL: BENCH_train.json is not a schema-1 train suite")
+if suite.get("smoke"):
+    sys.exit("FAIL: committed BENCH_train.json must be a full-mode run")
+if not suite.get("provenance"):
+    sys.exit("FAIL: BENCH_train.json is missing its provenance block")
+cases = {case["name"]: case for case in suite["cases"]}
+for name in ("train_epoch_cnn", "maxpool_fwd_bwd", "relu_fwd_bwd", "conv3_backward"):
+    if name not in cases:
+        sys.exit(f"FAIL: BENCH_train.json is missing case {name!r}")
+    print(f"{name}: {cases[name]['wall_s_median'] * 1e3:.1f} ms median")
+PY
+
 echo "== committed BENCH_compile.json schema + acceptance gate =="
 python - benchmarks/perf/BENCH_compile.json benchmarks/perf/BENCH_infer.json <<'PY'
 import json, sys

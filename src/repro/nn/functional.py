@@ -7,7 +7,12 @@ im2col/col2im reduction to matrix multiplication, which is the fastest
 strategy available in pure numpy.
 
 All spatial tensors use the NCHW layout: ``(batch, channels, height,
-width)``.
+width)``.  In memory, :func:`conv2d` outputs are channels-last (the
+GEMM's ``(N, H, W, C)`` buffer viewed as NCHW), and ReLU, pooling and
+:func:`col2im` keep that layout, forward and backward.  A training
+step therefore runs no transposing pass between a conv, its ReLU and
+its pool, and the conv backward reads its incoming gradient as the
+GEMM operand directly.
 
 Every operator has two execution paths:
 
@@ -16,9 +21,10 @@ Every operator has two execution paths:
   and wires a backward closure into the tape;
 * the **tape-free path**, taken otherwise (e.g. under
   :class:`~repro.nn.tensor.no_grad`): builds no closures and skips
-  backward-only bookkeeping (pooling argmax).  Batched inference does
-  not normally reach it: the model predict paths run compiled graphs
-  (:mod:`repro.nn.compile`) and keep these operators as the fallback.
+  backward-only bookkeeping (the max-pool winner index).  Batched
+  inference does not normally reach it: the model predict paths run
+  compiled graphs (:mod:`repro.nn.compile`) and keep these operators
+  as the fallback.
 
 Unfolding (both paths) goes through a cached **im2col index map**: a
 read-only gather-index matrix keyed by ``(shape, kernel, stride,
@@ -40,7 +46,7 @@ operator, so returned arrays are always freshly owned.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -310,9 +316,19 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back into an image.
 
-    ``out_padded``, when given, must be a ``(N, C, H + 2*ph, W + 2*pw)``
-    buffer; it is zeroed and used as the accumulation target, and for
-    nonzero padding the returned array is a view into it — callers that
+    Accumulates one sample at a time into a channels-last padded image,
+    so a sample's columns and its image stay in cache across the
+    ``kh*kw`` passes, and the channel axis — contiguous within each
+    column row — is contiguous in the target too.  Every element
+    receives the same additions in the same ``(i, j)`` tap order as a
+    whole-batch NCHW scatter, so the result is bit-identical to one.
+
+    Returns the ``(N, C, H, W)`` view of the unpadded region; its
+    memory is channels-last, the layout :func:`conv2d` outputs use.
+
+    ``out_padded``, when given, must be a ``(N, H + 2*ph, W + 2*pw, C)``
+    channels-last buffer; it is zeroed and used as the accumulation
+    target, and the returned array is a view into it — callers that
     pass scratch here must consume the result before the next call.
     """
     n, c, h, w = x_shape
@@ -323,69 +339,89 @@ def col2im(
     out_w = conv_output_size(w, kw, sw, pw)
 
     if out_padded is None:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cols.dtype)
     else:
         padded = out_padded
         padded.fill(0)
-    reshaped = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    # reshaped: (N, C, kh, kw, out_h, out_w)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += reshaped[:, :, i, j]
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
+    taps = cols.reshape(n, out_h, out_w, c, kh, kw)
+    for sample, image in zip(taps, padded):
+        for i in range(kh):
+            rows = slice(i, i + sh * out_h, sh)
+            for j in range(kw):
+                image[rows, j:j + sw * out_w:sw] += sample[:, :, :, i, j]
+    return padded.transpose(0, 3, 1, 2)[:, :, ph:h + ph, pw:w + pw]
 
 
-def _strided_windows(
+def _pool_taps(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> np.ndarray:
-    """Read-only sliding-window view ``(N, C, oh, ow, kh, kw)`` of ``x``."""
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-    strides = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * sh,
-            strides[3] * sw,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
+) -> List[np.ndarray]:
+    """The ``kh*kw`` strided views of ``x``, one per window tap.
 
-
-def _pool_max_slices(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> np.ndarray:
-    """Window max via ``kh*kw`` strided-slice ``np.maximum`` passes.
-
-    An order of magnitude faster than reducing over the trailing axes
-    of an ``as_strided`` window view, which numpy executes as a slow
-    small-stride gather.  Works on NCHW (spatial = last two axes).
+    Tap ``k = i*kw + j`` holds element ``(i, j)`` of every pooling
+    window (floor semantics: incomplete trailing windows are dropped).
+    Works on NCHW (spatial = last two axes) in any memory layout.
     """
     kh, kw = kernel
     sh, sw = stride
     out_h = (x.shape[2] - kh) // sh + 1
     out_w = (x.shape[3] - kw) // sw + 1
-    result: Optional[np.ndarray] = None
-    for i in range(kh):
-        for j in range(kw):
-            piece = x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-            if result is None:
-                result = np.ascontiguousarray(piece)
-            else:
-                np.maximum(result, piece, out=result)
-    return result
+    return [
+        x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+def _pool_max_slices(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    winner: bool = False,
+):
+    """Window max via ``kh*kw`` strided-slice ``np.maximum`` passes.
+
+    An order of magnitude faster than reducing over the trailing axes
+    of an ``as_strided`` window view, which numpy executes as a slow
+    small-stride gather.  The result keeps ``x``'s memory layout, so a
+    channels-last conv activation is pooled without a transposing pass.
+
+    With ``winner=True`` also returns, per window, the tap index of its
+    first maximum (numbered as in :func:`_pool_taps`) in the smallest
+    unsigned dtype that holds it — ``uint8`` for any real kernel.  A tap
+    takes over only if it is strictly greater than the running max,
+    which is ``argmax``'s tie rule, so an all-zero window after a ReLU
+    routes its gradient to tap 0.  This index is the only state max-pool
+    backward needs.  A NaN never takes over, so a window holding one
+    routes its gradient to an earlier tap (its value is still NaN).
+    """
+    taps = _pool_taps(x, kernel, stride)
+    result = taps[0].copy(order="K")
+    if not winner:
+        for piece in taps[1:]:
+            np.maximum(result, piece, out=result)
+        return result
+    tap_type = np.min_scalar_type(len(taps) - 1).type
+    index = np.zeros_like(result, dtype=tap_type)
+    greater = np.empty_like(result, dtype=bool)
+    for k, piece in enumerate(taps[1:], start=1):
+        np.greater(piece, result, out=greater)
+        # k grows with the tap, so the running max of k * greater is
+        # the last strict improvement, i.e. the first winner.
+        np.maximum(index, np.multiply(greater, tap_type(k)), out=index)
+        np.maximum(result, piece, out=result)
+    return result, index
+
+
+def _pool_avg_slices(
+    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
+) -> np.ndarray:
+    """Window mean via ``kh*kw`` strided-slice additions and one scale."""
+    taps = _pool_taps(x, kernel, stride)
+    total = taps[0].copy(order="K")
+    for piece in taps[1:]:
+        total += piece
+    total *= x.dtype.type(1.0 / len(taps))
+    return total
 
 
 def conv2d(
@@ -443,15 +479,15 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out)
-        if use_scratch:
+        # grad: (N, C_out, oh, ow) -> (N*oh*ow, C_out).  A channels-last
+        # grad (what ReLU and max-pool hand back for this layer's
+        # channels-last output) is already that matrix: no copy.
+        grad_nhwc = grad.transpose(0, 2, 3, 1)
+        if use_scratch and not grad_nhwc.flags.c_contiguous:
             grad_mat = scratch.get("grad_mat", (rows, c_out), grad.dtype)
-            np.copyto(
-                grad_mat.reshape(n, out_h, out_w, c_out),
-                grad.transpose(0, 2, 3, 1),
-            )
+            np.copyto(grad_mat.reshape(n, out_h, out_w, c_out), grad_nhwc)
         else:
-            grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, c_out)
+            grad_mat = grad_nhwc.reshape(-1, c_out)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=0))
         if weight.requires_grad:
@@ -467,7 +503,7 @@ def conv2d(
                 np.matmul(grad_mat, w_mat, out=grad_cols)
                 padded = scratch.get(
                     "col2im",
-                    (n, c_in, h + 2 * padding[0], w + 2 * padding[1]),
+                    (n, h + 2 * padding[0], w + 2 * padding[1], c_in),
                     grad.dtype,
                 )
                 grad_x = col2im(
@@ -574,96 +610,65 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
     Window geometry follows the paper: every conv layer is followed by a
     2x2 max-pool.  Inputs whose spatial size is not divisible by the
     stride are truncated (floor semantics), matching common frameworks.
+
+    Both paths run the :func:`_pool_max_slices` strided-slice passes and
+    keep the input's memory layout.  The recording path also keeps the
+    per-window winner tap (one byte per output); backward writes
+    ``grad * (winner == k)`` into tap ``k``'s strided slice of the
+    input gradient, accumulating where windows overlap.
     """
     kernel = _pair(kernel)
     if stride is None:
         stride = kernel
     stride = _pair(stride)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
     if not _recording(x):
-        # Fast path: slice-wise window max, no argmax bookkeeping (only
-        # backward needs the winner coordinates).
         return Tensor(_pool_max_slices(x.data, kernel, stride))
-    windows = _strided_windows(x.data, kernel, stride)
-    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
-    argmax = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    out_data, winner = _pool_max_slices(x.data, kernel, stride, winner=True)
+    (kh, kw), (sh, sw) = kernel, stride
+    disjoint = sh >= kh and sw >= kw
+    # An exact tiling writes every input cell exactly once; otherwise
+    # truncated tails, gaps and overlaps need a zeroed gradient.
+    tiled = (sh, sw) == (kh, kw) and not (x.shape[2] % kh or x.shape[3] % kw)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        if (sh, sw) == (kh, kw):
-            # Non-overlapping windows: every input cell belongs to at
-            # most one window, so the winner scatter is a plain
-            # put_along_axis into per-window slots — far cheaper than
-            # the general np.add.at gather-scatter below.
-            slots = np.zeros((n, c, out_h, out_w, kh * kw), dtype=grad.dtype)
-            np.put_along_axis(slots, argmax[..., None], grad[..., None], axis=-1)
-            block = (
-                slots.reshape(n, c, out_h, out_w, kh, kw)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, out_h * kh, out_w * kw)
-            )
-            if block.shape[2:] == (h, w):
-                grad_x = block
-            else:  # floor-truncated tail rows/cols received no gradient
-                grad_x = np.zeros_like(x.data)
-                grad_x[:, :, : out_h * kh, : out_w * kw] = block
-            x._accumulate(grad_x)
-            return
-        grad_x = np.zeros_like(x.data)
-        # Decode flat window argmax back to input coordinates.
-        ki, kj = np.unravel_index(argmax, (kh, kw))
-        n_idx, c_idx, i_idx, j_idx = np.indices(argmax.shape)
-        rows = i_idx * sh + ki
-        cols = j_idx * sw + kj
-        np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad)
-        x._accumulate(grad_x)
+        grad_x = np.empty_like(x.data) if tiled else np.zeros_like(x.data)
+        hit = np.empty_like(winner, dtype=bool)
+        for k, view in enumerate(_pool_taps(grad_x, kernel, stride)):
+            np.equal(winner, k, out=hit)
+            if disjoint:
+                np.multiply(grad, hit, out=view)
+            else:
+                view += grad * hit
+        x._accumulate(grad_x, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor:
-    """Average pooling; used by ablation variants of the architecture."""
+    """Average pooling; used by ablation variants of the architecture.
+
+    Both paths compute the forward with :func:`_pool_avg_slices`, so
+    train- and eval-mode outputs are byte-equal.
+    """
     kernel = _pair(kernel)
     if stride is None:
         stride = kernel
     stride = _pair(stride)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
-    scale = x.data.dtype.type(1.0 / (kh * kw))
+    out_data = _pool_avg_slices(x.data, kernel, stride)
     if not _recording(x):
-        # Fast path: slice-wise accumulation, same rationale as max-pool.
-        total: Optional[np.ndarray] = None
-        for i in range(kh):
-            for j in range(kw):
-                piece = x.data[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-                if total is None:
-                    total = np.ascontiguousarray(piece)
-                else:
-                    total += piece
-        total *= scale
-        return Tensor(total)
-    windows = _strided_windows(x.data, kernel, stride)
-    out_data = windows.mean(axis=(-1, -2), dtype=x.data.dtype)
+        return Tensor(out_data)
+    scale = x.data.dtype.type(1.0 / (kernel[0] * kernel[1]))
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         grad_x = np.zeros_like(x.data)
-        for i in range(kh):
-            for j in range(kw):
-                grad_x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw] += grad * scale
-        x._accumulate(grad_x)
+        scaled = grad * scale
+        for view in _pool_taps(grad_x, kernel, stride):
+            view += scaled
+        x._accumulate(grad_x, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 

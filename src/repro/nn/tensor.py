@@ -269,9 +269,18 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`.
+
+        ``owned=True`` promises that ``grad`` is a fresh array no one
+        else references, so the first accumulation adopts it instead of
+        copying (the large activation gradients of a training step).
+        """
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            if owned and grad.dtype == self.data.dtype:
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -433,15 +442,17 @@ class Tensor:
         return self ** 0.5
 
     def relu(self) -> "Tensor":
+        # np.maximum writes +0.0 for negative inputs (``x * mask`` would
+        # write -0.0) and keeps the input's memory layout, so both paths
+        # and the compiler produce the same bytes.
+        out_data = np.maximum(self.data, 0)
         if not self._recording():
-            # Fast path: single in-register pass, no mask retained.
-            return Tensor(np.maximum(self.data, 0))
+            return Tensor(out_data)
         mask = self.data > 0
-        out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
