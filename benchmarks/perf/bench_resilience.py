@@ -3,9 +3,12 @@ nothing fails, and what recovery costs when something does.
 
 Case groups (``BENCH_resilience.json``):
 
-* ``train_plain`` / ``train_checkpointed`` — identical tiny training
-  runs without and with per-epoch crash-safe checkpoints;
-  ``checkpoint_overhead_pct`` is the steady-state price of durability.
+* ``train_plain`` / ``train_checkpointed`` / ``train_checkpointed_async``
+  — identical tiny training runs without checkpoints, with per-epoch
+  crash-safe checkpoints, and with those checkpoints published on a
+  background thread, timed round-robin; ``checkpoint_overhead_pct`` and
+  ``async_checkpoint_overhead_pct`` are the steady-state price of
+  durability (median of per-round paired ratios, with quartiles).
 * ``checkpoint_save`` / ``checkpoint_resume`` — one full checkpoint
   write (atomic staging + CRC manifest + publish) and one
   ``latest_valid`` resume (scan + CRC verify + load into a model).
@@ -24,6 +27,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -59,71 +63,79 @@ def _model(size: int) -> WaferCNN:
     )
 
 
+#: Round-robin rounds for the three training cases in full mode.
+TRAIN_ROUNDS = 12
+
+#: Checkpoint settings of the three training cases.
+_TRAIN_VARIANTS = {
+    "train_plain": {},
+    "train_checkpointed": {"checkpoint_every": 1},
+    "train_checkpointed_async": {"checkpoint_every": 1, "checkpoint_async": True},
+}
+
+
 def _train_cases(
-    dataset: WaferDataset, size: int, epochs: int, repeats: int
+    dataset: WaferDataset, size: int, epochs: int, rounds: int
 ) -> List[CaseResult]:
-    def plain() -> None:
-        Trainer(
-            _model(size), TrainConfig(epochs=epochs, batch_size=16, seed=3)
-        ).fit(dataset)
+    """Time plain, sync- and async-checkpointed training round-robin.
 
-    plain_case = run_case(
-        "train_plain", plain, repeats=repeats, warmup=1,
-        params={"epochs": epochs, "samples": len(dataset), "input_size": size},
-    )
-
-    def checkpointed() -> None:
-        tmp = tempfile.mkdtemp(prefix="bench-ckpt-")
+    Each round runs every variant once and rotates which goes first, so
+    a drift in machine load lands on all three alike.  The overheads are
+    medians of the per-round ratios against the same round's plain run,
+    with their quartiles.
+    """
+    def fit(extra) -> float:
+        tmp = tempfile.mkdtemp(prefix="bench-ckpt-") if extra else None
         try:
-            Trainer(
+            trainer = Trainer(
                 _model(size),
                 TrainConfig(
-                    epochs=epochs, batch_size=16, seed=3,
-                    checkpoint_dir=tmp, checkpoint_every=1,
+                    epochs=epochs, batch_size=16, seed=3, checkpoint_dir=tmp,
+                    **extra,
                 ),
-            ).fit(dataset)
+            )
+            started = time.perf_counter()
+            trainer.fit(dataset)
+            return time.perf_counter() - started
         finally:
-            shutil.rmtree(tmp, ignore_errors=True)
+            if tmp is not None:
+                shutil.rmtree(tmp, ignore_errors=True)
 
-    ckpt_case = run_case(
-        "train_checkpointed", checkpointed, repeats=repeats, warmup=1,
-        params={
-            "epochs": epochs, "samples": len(dataset), "input_size": size,
-            "checkpoint_every": 1,
-        },
-    )
-    ckpt_case.metrics["checkpoint_overhead_pct"] = 100.0 * (
-        ckpt_case.wall_s_median / plain_case.wall_s_median - 1.0
-    )
+    names = list(_TRAIN_VARIANTS)
+    for name in names:  # warmup
+        fit(_TRAIN_VARIANTS[name])
+    times = {name: [] for name in names}
+    for r in range(rounds):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            times[name].append(fit(_TRAIN_VARIANTS[name]))
 
-    def checkpointed_async() -> None:
-        tmp = tempfile.mkdtemp(prefix="bench-ckpt-async-")
-        try:
-            Trainer(
-                _model(size),
-                TrainConfig(
-                    epochs=epochs, batch_size=16, seed=3,
-                    checkpoint_dir=tmp, checkpoint_every=1,
-                    checkpoint_async=True,
-                ),
-            ).fit(dataset)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-    async_case = run_case(
-        "train_checkpointed_async", checkpointed_async, repeats=repeats,
-        warmup=1,
-        params={
-            "epochs": epochs, "samples": len(dataset), "input_size": size,
-            "checkpoint_every": 1, "checkpoint_async": True,
-        },
-    )
-    # The async writer's promise: publish off the step path, so the
-    # overhead vs plain training should undercut the synchronous case.
-    async_case.metrics["async_checkpoint_overhead_pct"] = 100.0 * (
-        async_case.wall_s_median / plain_case.wall_s_median - 1.0
-    )
-    return [plain_case, ckpt_case, async_case]
+    plain = np.asarray(times["train_plain"])
+    cases = []
+    for name in names:
+        wall = np.asarray(times[name])
+        case = CaseResult(
+            name=name,
+            repeats=rounds,
+            wall_s_median=float(np.median(wall)),
+            wall_s_min=float(wall.min()),
+            params={
+                "epochs": epochs, "samples": len(dataset), "input_size": size,
+                "rounds": rounds, **_TRAIN_VARIANTS[name],
+            },
+            metrics={
+                "wall_s_p25": float(np.percentile(wall, 25)),
+                "wall_s_p75": float(np.percentile(wall, 75)),
+            },
+        )
+        if name != "train_plain":
+            key = ("async_" if "async" in name else "") + "checkpoint_overhead_pct"
+            overhead = 100.0 * (wall / plain - 1.0)
+            case.metrics[key] = float(np.median(overhead))
+            case.metrics[key + "_p25"] = float(np.percentile(overhead, 25))
+            case.metrics[key + "_p75"] = float(np.percentile(overhead, 75))
+        cases.append(case)
+    return cases
 
 
 def _checkpoint_cases(size: int, repeats: int) -> List[CaseResult]:
@@ -211,8 +223,6 @@ def _chaos_noop_case(repeats: int) -> CaseResult:
 def _recovery_case(size: int) -> Optional[CaseResult]:
     if not parallel_supported(2):
         return None
-    import time
-
     from repro.obs.metrics import MetricsRegistry
     from repro.parallel.engine import DataParallelEngine, ObjectiveSpec
     from repro.resilience.retry import RetryPolicy
@@ -265,7 +275,8 @@ def run_resilience_suite(smoke: bool = False, repeats: int = 3) -> List[CaseResu
     dataset = _dataset(samples, size)
 
     cases: List[CaseResult] = []
-    cases.extend(_train_cases(dataset, size, epochs, repeats))
+    rounds = 1 if smoke else TRAIN_ROUNDS
+    cases.extend(_train_cases(dataset, size, epochs, rounds))
     cases.extend(_checkpoint_cases(size, repeats))
     cases.extend(_atomic_cases(repeats))
     cases.append(_chaos_noop_case(repeats))

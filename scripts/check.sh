@@ -120,6 +120,27 @@ for name in ("train_epoch_cnn", "maxpool_fwd_bwd", "relu_fwd_bwd", "conv3_backwa
     print(f"{name}: {cases[name]['wall_s_median'] * 1e3:.1f} ms median")
 PY
 
+echo "== committed BENCH_resilience.json schema + training cases =="
+python - benchmarks/perf/BENCH_resilience.json <<'PY'
+import json, sys
+with open(sys.argv[1]) as handle:
+    suite = json.load(handle)
+if suite.get("schema") != 1 or suite.get("suite") != "resilience":
+    sys.exit("FAIL: BENCH_resilience.json is not a schema-1 resilience suite")
+if suite.get("smoke"):
+    sys.exit("FAIL: committed BENCH_resilience.json must be a full-mode run")
+if not suite.get("provenance"):
+    sys.exit("FAIL: BENCH_resilience.json is missing its provenance block")
+cases = {case["name"]: case for case in suite["cases"]}
+for name in (
+    "train_plain", "train_checkpointed", "train_checkpointed_async",
+    "checkpoint_resume",
+):
+    if name not in cases:
+        sys.exit(f"FAIL: BENCH_resilience.json is missing case {name!r}")
+    print(f"{name}: {cases[name]['wall_s_median'] * 1e3:.1f} ms median")
+PY
+
 echo "== committed BENCH_compile.json schema + acceptance gate =="
 python - benchmarks/perf/BENCH_compile.json benchmarks/perf/BENCH_infer.json <<'PY'
 import json, sys

@@ -15,8 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from ..nn.serialization import _read_npz
-from ..resilience.atomic import IntegrityError, atomic_savez
+from ..resilience.atomic import IntegrityError, atomic_savez, read_npz
 from .cnn import BackboneConfig, WaferCNN
 from .pipeline import FullCoverageWaferClassifier, SelectiveWaferClassifier
 from .selective import SelectiveNet
@@ -73,7 +72,7 @@ def load_classifier(
     otherwise unreadable archives — nothing is constructed from a torn
     file.
     """
-    archive = _read_npz(path)
+    archive = read_npz(path)
     try:
         metadata = json.loads(str(archive["metadata"]))
     except (KeyError, json.JSONDecodeError) as exc:

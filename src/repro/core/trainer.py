@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -263,18 +263,18 @@ class Trainer:
             logger.setLevel(logging.INFO)
         if self.run_logger is not None:
             self.run_logger.log_config(self.config)
-        start_epoch = 1
-        best_val = -np.inf
-        epochs_without_improvement = 0
+        # Loop state: last finished epoch and early-stopping bookkeeping.
+        # It is what a checkpoint carries and what _restore brings back.
+        self._epoch = 0
+        self._best_val = -np.inf
+        self._stale_epochs = 0
         if resume is not None:
-            state = self._resume(resume)
-            if state is not None:
-                start_epoch = int(state["epoch"]) + 1
-                extra = state.get("extra") or {}
-                saved_best = extra.get("best_val")
-                best_val = -np.inf if saved_best is None else float(saved_best)
-                epochs_without_improvement = int(
-                    extra.get("epochs_without_improvement", 0)
+            path = self._resume_path(resume)
+            if path is not None:
+                self._restore(path)
+                self._event(
+                    "resume", logging.INFO, "resumed from %s (epoch %d)",
+                    path, self._epoch, path=path, epoch=self._epoch,
                 )
         batches = BatchIterator(
             train,
@@ -287,24 +287,16 @@ class Trainer:
         rollbacks = 0
         stop = False
         try:
-            epoch = start_epoch
-            while epoch <= self.config.epochs and not stop:
+            while self._epoch < self.config.epochs and not stop:
+                epoch = self._epoch + 1
                 self._check_engine_health()
                 try:
-                    stats = self._run_epoch(epoch, batches, self._engine)
+                    stats = self._run_epoch(epoch, batches)
                 except _WatchdogTrip as trip:
-                    state = self._rollback(trip, rollbacks)
+                    self._rollback(trip, rollbacks)
                     rollbacks += 1
-                    epoch = int(state["epoch"]) + 1
-                    extra = state.get("extra") or {}
-                    saved_best = extra.get("best_val")
-                    best_val = -np.inf if saved_best is None else float(saved_best)
-                    epochs_without_improvement = int(
-                        extra.get("epochs_without_improvement", 0)
-                    )
                     self.history.epochs = [
-                        s for s in self.history.epochs
-                        if s.epoch <= int(state["epoch"])
+                        s for s in self.history.epochs if s.epoch <= self._epoch
                     ]
                     continue
                 if validation is not None:
@@ -320,27 +312,14 @@ class Trainer:
                     epoch, stats.loss, stats.train_accuracy, stats.coverage,
                     stats.grad_norm if stats.grad_norm is not None else 0.0, val,
                 )
-                patience = self.config.early_stopping_patience
-                if patience is not None and stats.val_accuracy is not None:
-                    if stats.val_accuracy > best_val + 1e-9:
-                        best_val = stats.val_accuracy
-                        epochs_without_improvement = 0
-                    else:
-                        epochs_without_improvement += 1
-                        if epochs_without_improvement >= patience:
-                            logger.info("early stop at epoch %d", epoch)
-                            if self.run_logger is not None:
-                                self.run_logger.log("early_stop", epoch=epoch)
-                            stop = True
+                self._epoch = epoch
+                stop = self._early_stop(stats)
                 if self._checkpoints is not None and (
                     epoch % self.config.checkpoint_every == 0
                     or epoch == self.config.epochs
                     or stop
                 ):
-                    self._save_checkpoint(
-                        epoch, best_val, epochs_without_improvement
-                    )
-                epoch += 1
+                    self._save_checkpoint()
         finally:
             if self._engine is not None:
                 self._engine.shutdown()
@@ -362,55 +341,76 @@ class Trainer:
             )
         return self.history
 
+    def _early_stop(self, stats: EpochStats) -> bool:
+        """Advance the patience bookkeeping; True when training should stop."""
+        patience = self.config.early_stopping_patience
+        if patience is None or stats.val_accuracy is None:
+            return False
+        if stats.val_accuracy > self._best_val + 1e-9:
+            self._best_val = stats.val_accuracy
+            self._stale_epochs = 0
+            return False
+        self._stale_epochs += 1
+        if self._stale_epochs < patience:
+            return False
+        self._event(
+            "early_stop", logging.INFO, "early stop at epoch %d",
+            stats.epoch, epoch=stats.epoch,
+        )
+        return True
+
+    def _event(self, name: str, level: int, message: str, *args, **fields) -> None:
+        """Log a training event and append it to the run log, if any."""
+        logger.log(level, message, *args)
+        if self.run_logger is not None:
+            self.run_logger.log(name, **fields)
+
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
-    def _resume(self, resume: str) -> Optional[Dict[str, Any]]:
-        """Restore from a checkpoint; returns its state or ``None``.
+    def _resume_path(self, resume: str) -> Optional[str]:
+        """The checkpoint ``fit(resume=...)`` restores, or ``None``.
 
         ``"auto"`` picks the newest valid checkpoint (skipping corrupt
         ones) and is a silent no-op on a fresh run; an explicit path
         must validate or the :class:`~repro.resilience.IntegrityError`
-        propagates.
+        propagates from :meth:`_restore`.
         """
         if resume == "auto":
             if self._checkpoints is None:
                 return None
-            path = self._checkpoints.latest_valid()
-            if path is None:
-                return None
-        else:
-            if self._checkpoints is None:
-                raise ValueError(
-                    "resume from a path requires config.checkpoint_dir"
-                )
-            path = resume
+            return self._checkpoints.latest_valid()
+        if self._checkpoints is None:
+            raise ValueError("resume from a path requires config.checkpoint_dir")
+        return resume
+
+    def _restore(self, path: str) -> None:
+        """Load model, optimizer, RNG and loop state from a checkpoint."""
         state = self._checkpoints.load(path, self.model, self.optimizer)
         if state.get("rng_state"):
             self._checkpoints.restore_rng(self._rng, state["rng_state"])
-        logger.info("resumed from %s (epoch %d)", path, state["epoch"])
-        if self.run_logger is not None:
-            self.run_logger.log("resume", path=path, epoch=int(state["epoch"]))
-        return state
+        extra = state.get("extra") or {}
+        saved_best = extra.get("best_val")
+        self._epoch = int(state["epoch"])
+        self._best_val = -np.inf if saved_best is None else float(saved_best)
+        self._stale_epochs = int(extra.get("epochs_without_improvement", 0))
 
-    def _save_checkpoint(
-        self, epoch: int, best_val: float, epochs_without_improvement: int
-    ) -> None:
+    def _save_checkpoint(self) -> None:
         result = self._checkpoints.save(
-            epoch,
+            self._epoch,
             model=self.model,
             optimizer=self.optimizer,
             rng=self._rng,
             extra={
-                "best_val": float(best_val) if np.isfinite(best_val) else None,
-                "epochs_without_improvement": int(epochs_without_improvement),
+                "best_val": float(self._best_val) if np.isfinite(self._best_val) else None,
+                "epochs_without_improvement": int(self._stale_epochs),
             },
             async_=self.config.checkpoint_async,
         )
         path = result if isinstance(result, str) else result.path
-        chaos_point("train.checkpoint.saved", path=path, epoch=epoch)
+        chaos_point("train.checkpoint.saved", path=path, epoch=self._epoch)
 
-    def _rollback(self, trip: _WatchdogTrip, rollbacks: int) -> Dict[str, Any]:
+    def _rollback(self, trip: _WatchdogTrip, rollbacks: int) -> None:
         """Restore the last good checkpoint after a watchdog trip.
 
         Cuts the learning rate by ``config.rollback_lr_cut`` so the
@@ -419,13 +419,10 @@ class Trainer:
         rollback budget is spent — a run that cannot recover must fail
         loudly rather than train on poisoned weights.
         """
-        logger.warning(
-            "watchdog tripped at epoch %d: %s", trip.epoch, trip.reason
+        self._event(
+            "watchdog_trip", logging.WARNING, "watchdog tripped at epoch %d: %s",
+            trip.epoch, trip.reason, epoch=trip.epoch, reason=trip.reason,
         )
-        if self.run_logger is not None:
-            self.run_logger.log(
-                "watchdog_trip", epoch=trip.epoch, reason=trip.reason
-            )
         record_flight_event(
             "watchdog_rollback", epoch=trip.epoch, reason=trip.reason
         )
@@ -449,22 +446,14 @@ class Trainer:
                 f"training diverged ({trip.reason}) with no valid "
                 "checkpoint to roll back to"
             )
-        state = self._checkpoints.load(path, self.model, self.optimizer)
-        if state.get("rng_state"):
-            self._checkpoints.restore_rng(self._rng, state["rng_state"])
+        self._restore(path)
         self.optimizer.lr *= self.config.rollback_lr_cut
         self._m_rollbacks.inc()
-        logger.warning(
-            "rolled back to %s (epoch %d), lr cut to %.3g",
-            path, state["epoch"], self.optimizer.lr,
+        self._event(
+            "rollback", logging.WARNING, "rolled back to %s (epoch %d), lr cut to %.3g",
+            path, self._epoch, self.optimizer.lr,
+            epoch=self._epoch, lr=float(self.optimizer.lr),
         )
-        if self.run_logger is not None:
-            self.run_logger.log(
-                "rollback",
-                epoch=int(state["epoch"]),
-                lr=float(self.optimizer.lr),
-            )
-        return state
 
     def _check_engine_health(self) -> None:
         """Epoch-boundary heartbeat; drops to serial on pool loss."""
@@ -475,10 +464,12 @@ class Trainer:
         try:
             self._engine.health_check()
         except ParallelUnavailable:
-            logger.warning(
-                "data-parallel pool degraded; continuing this run serially"
-            )
-            self._engine = None
+            self._serial_fallback("degraded")
+
+    def _serial_fallback(self, how: str) -> None:
+        # The engine shut itself down before raising ParallelUnavailable.
+        logger.warning("data-parallel pool %s; continuing this run serially", how)
+        self._engine = None
 
     # ------------------------------------------------------------------
     def _selective_mode(self) -> bool:
@@ -519,9 +510,53 @@ class Trainer:
             ),
         )
 
-    def _run_epoch(self, epoch: int, batches: BatchIterator, engine=None) -> EpochStats:
-        from ..parallel.engine import ParallelUnavailable
+    def _step(
+        self, inputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    ) -> Tuple[float, int, float, float]:
+        """Forward and backward for one batch, gradients left in place.
 
+        Returns ``(loss, correct, coverage, selective_risk)``.  Runs on
+        the data-parallel engine while one is live; cross-entropy
+        training reports full coverage and its loss as the risk.
+        """
+        if self._engine is not None:
+            from ..parallel import ParallelUnavailable
+
+            try:
+                step = self._engine.train_step(inputs, labels, weights)
+                return step.loss, step.correct, step.coverage, step.selective_risk
+            except ParallelUnavailable:
+                # The engine never published this batch's gradients, so
+                # finishing it serially keeps the trajectory intact —
+                # nothing skipped, nothing double-applied.
+                self._serial_fallback("lost mid-epoch")
+        outputs = self.model(nn.Tensor(inputs))
+        terms = None
+        if self._selective_mode():
+            logits, selection = outputs
+            terms = selectivenet_objective(
+                logits,
+                selection,
+                labels,
+                target_coverage=self.config.target_coverage,
+                lam=self.config.lam,
+                alpha=self.config.alpha,
+                sample_weights=weights,
+                penalty_mode=self.config.penalty_mode,
+            )
+            loss = terms.total
+        else:
+            logits = outputs[0] if isinstance(outputs, tuple) else outputs
+            loss = nn.cross_entropy(logits, labels, sample_weights=weights)
+        self.optimizer.zero_grad(set_to_none=False)
+        loss.backward()
+        loss_value = float(loss.data)
+        correct = int((logits.data.argmax(axis=1) == labels).sum())
+        if terms is None:
+            return loss_value, correct, 1.0, loss_value
+        return loss_value, correct, terms.coverage, terms.selective_risk
+
+    def _run_epoch(self, epoch: int, batches: BatchIterator) -> EpochStats:
         self.model.train()
         started = time.perf_counter()
         tracer = current_tracer()
@@ -538,63 +573,14 @@ class Trainer:
         grad_norm_sum = 0.0
         batch_count = 0
 
-        selective = self._selective_mode()
-
         with nn.train_scratch():
             for inputs, labels, weights in batches:
                 chaos_point(
                     "train.batch", epoch=epoch, inputs=inputs, labels=labels
                 )
-                step = None
-                if self._engine is not None:
-                    try:
-                        step = self._engine.train_step(inputs, labels, weights)
-                    except ParallelUnavailable:
-                        # The engine never published this batch's
-                        # gradients, so finishing it serially keeps the
-                        # trajectory intact — nothing skipped, nothing
-                        # double-applied.
-                        logger.warning(
-                            "data-parallel pool lost mid-epoch; "
-                            "continuing this run serially"
-                        )
-                        self._engine = None
-                if step is not None:
-                    loss_value = step.loss
-                    correct = step.correct
-                    coverage_sum += step.coverage
-                    risk_sum += step.selective_risk
-                elif selective:
-                    tensor = nn.Tensor(inputs)
-                    logits, selection = self.model(tensor)
-                    terms = selectivenet_objective(
-                        logits,
-                        selection,
-                        labels,
-                        target_coverage=self.config.target_coverage,
-                        lam=self.config.lam,
-                        alpha=self.config.alpha,
-                        sample_weights=weights,
-                        penalty_mode=self.config.penalty_mode,
-                    )
-                    self.optimizer.zero_grad(set_to_none=False)
-                    terms.total.backward()
-                    loss_value = float(terms.total.data)
-                    correct = int((logits.data.argmax(axis=1) == labels).sum())
-                    coverage_sum += terms.coverage
-                    risk_sum += terms.selective_risk
-                else:
-                    tensor = nn.Tensor(inputs)
-                    outputs = self.model(tensor)
-                    logits = outputs[0] if isinstance(outputs, tuple) else outputs
-                    loss = nn.cross_entropy(logits, labels, sample_weights=weights)
-                    self.optimizer.zero_grad(set_to_none=False)
-                    loss.backward()
-                    loss_value = float(loss.data)
-                    correct = int((logits.data.argmax(axis=1) == labels).sum())
-                    coverage_sum += 1.0
-                    risk_sum += loss_value
-
+                loss_value, correct, coverage, risk = self._step(
+                    inputs, labels, weights
+                )
                 norm = self._grad_norm()
                 reason = self.watchdog.check(loss_value, norm)
                 if reason is not None:
@@ -613,6 +599,8 @@ class Trainer:
                 total_loss += loss_value * len(labels)
                 total_correct += correct
                 total_samples += len(labels)
+                coverage_sum += coverage
+                risk_sum += risk
                 batch_count += 1
 
         stats = EpochStats(
@@ -648,24 +636,15 @@ class Trainer:
                 if param.grad is not None:
                     param.grad *= scale
 
-    def _quick_accuracy(self, dataset: WaferDataset, chunk: int = 512) -> float:
-        """Validation accuracy, streamed in fixed-size chunks.
-
-        Chunking bounds peak memory on large validation sets: only one
-        ``chunk``-sized slice of predictions is materialized at a time.
-        """
+    def _quick_accuracy(self, dataset: WaferDataset) -> float:
+        """Validation accuracy; the predict paths stream fixed-size chunks,
+        so peak memory stays bounded on large validation sets."""
         if len(dataset) == 0:
             return 0.0
         inputs = dataset.tensors()
-        labels = dataset.labels
-        correct = 0
-        for start in range(0, len(inputs), chunk):
-            stop = min(start + chunk, len(inputs))
-            piece = inputs[start:stop]
-            if isinstance(self.model, SelectiveNet):
-                probabilities, _ = self.model.predict_batched(piece)
-                predictions = probabilities.argmax(axis=1)
-            else:
-                predictions = self.model.predict(piece)
-            correct += int((predictions == labels[start:stop]).sum())
-        return correct / len(inputs)
+        if isinstance(self.model, SelectiveNet):
+            probabilities, _ = self.model.predict_batched(inputs)
+            predictions = probabilities.argmax(axis=1)
+        else:
+            predictions = self.model.predict(inputs)
+        return int((predictions == dataset.labels).sum()) / len(inputs)

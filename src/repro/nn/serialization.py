@@ -10,12 +10,9 @@ object — a corrupt file can never half-load a model.
 from __future__ import annotations
 
 import os
-import zipfile
-from typing import Dict, Union
+from typing import Union
 
-import numpy as np
-
-from ..resilience.atomic import IntegrityError, atomic_savez
+from ..resilience.atomic import IntegrityError, atomic_savez, read_npz
 from .layers.base import Module
 from .optim import Optimizer
 
@@ -28,23 +25,6 @@ __all__ = [
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-
-def _read_npz(path: PathLike) -> Dict[str, np.ndarray]:
-    """Fully materialize an npz archive, or raise :class:`IntegrityError`.
-
-    Every member is decompressed here (not lazily), so truncation
-    anywhere in the archive surfaces as one typed error at load time
-    instead of a crash halfway through mutating the caller's state.
-    A missing file stays ``FileNotFoundError`` — absent is not corrupt.
-    """
-    try:
-        with np.load(os.fspath(path)) as archive:
-            return {key: archive[key] for key in archive.files}
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError) as exc:
-        raise IntegrityError(f"{os.fspath(path)}: unreadable archive: {exc}") from exc
 
 
 def save_model(model: Module, path: PathLike) -> None:
@@ -64,7 +44,7 @@ def load_model(model: Module, path: PathLike) -> Module:
     shape mismatches raise ``ValueError``, unreadable archives
     :class:`IntegrityError`.
     """
-    state = _read_npz(path)
+    state = read_npz(path)
     model.load_state_dict(state)
     return model
 
@@ -86,6 +66,6 @@ def load_optimizer(optimizer: Optimizer, path: PathLike) -> Optimizer:
     list (same order and shapes); slot shape mismatches raise
     ``ValueError``, unreadable archives :class:`IntegrityError`.
     """
-    state = _read_npz(path)
+    state = read_npz(path)
     optimizer.load_state_dict(state)
     return optimizer

@@ -592,25 +592,35 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
     weights = arena.view("weights")
     grad_row = arena.view("grads")[rank]
 
+    def next_work():
+        """Next work message, servicing control messages in place.
+
+        ``ping`` and ``telemetry`` are answered and skipped; ``abort`` is
+        acknowledged and returned, like ``stop``, for the caller to act on.
+        """
+        while True:
+            message = pipe.recv()
+            tag = message[0]
+            if tag == "ping":
+                chaos_point("parallel.worker.ping", rank=rank)
+                pipe.send(("pong", rank))
+            elif tag == "telemetry":
+                pipe.send(("telemetry", rank, _snapshot(registry, f"rank{rank}")))
+            else:
+                if tag == "abort":
+                    pipe.send(("aborted",))
+                return message
+
     try:
         # Strict forward -> backward lockstep, so per-layer scratch
         # reuse is safe in the workers too.
         scratch_guard = F.train_scratch()
         scratch_guard.__enter__()
         while True:
-            message = pipe.recv()
-            tag = message[0]
-            if tag == "stop":
+            message = next_work()
+            if message[0] == "stop":
                 return
-            if tag == "ping":
-                chaos_point("parallel.worker.ping", rank=rank)
-                pipe.send(("pong", rank))
-                continue
-            if tag == "abort":  # nothing in flight — just acknowledge
-                pipe.send(("aborted",))
-                continue
-            if tag == "telemetry":
-                pipe.send(("telemetry", rank, _snapshot(registry, f"rank{rank}")))
+            if message[0] == "abort":  # nothing in flight
                 continue
             lo, hi = message[1], message[2]
             ctx = message[3] if len(message) > 3 else None
@@ -658,40 +668,26 @@ def _engine_worker(rank: int, num_workers: int, pipe, payload) -> None:
                 w_sum = u_sum = v_sum = None
                 pipe.send(("partial", 0.0, 0.0, 0.0, 0, None))
 
-            # Phase 2: wait for the coefficients, servicing control
-            # messages; "abort" drops the step and returns to top.
-            while True:
-                message = pipe.recv()
-                tag = message[0]
-                if tag == "stop":
-                    return
-                if tag == "ping":
-                    chaos_point("parallel.worker.ping", rank=rank)
-                    pipe.send(("pong", rank))
-                    continue
-                if tag == "abort":
-                    pipe.send(("aborted",))
-                    break
-                if tag == "telemetry":
-                    pipe.send(
-                        ("telemetry", rank, _snapshot(registry, f"rank{rank}"))
-                    )
-                    continue
-                _, k_u, k_v, k_w = message
-                model.zero_grad()
-                if w_sum is not None:
-                    surrogate = k_w * w_sum
-                    if u_sum is not None:
-                        surrogate = surrogate + k_u * u_sum + k_v * v_sum
-                    surrogate.backward()
-                offset = 0
-                for param, size in zip(params, sizes):
-                    if param.grad is None:
-                        grad_row[offset:offset + size] = 0
-                    else:
-                        grad_row[offset:offset + size] = param.grad.reshape(-1)
-                    offset += size
-                pipe.send(("done",))
-                break
+            # Phase 2: wait for the coefficients; "abort" drops the step.
+            message = next_work()
+            if message[0] == "stop":
+                return
+            if message[0] == "abort":
+                continue
+            _, k_u, k_v, k_w = message
+            model.zero_grad()
+            if w_sum is not None:
+                surrogate = k_w * w_sum
+                if u_sum is not None:
+                    surrogate = surrogate + k_u * u_sum + k_v * v_sum
+                surrogate.backward()
+            offset = 0
+            for param, size in zip(params, sizes):
+                if param.grad is None:
+                    grad_row[offset:offset + size] = 0
+                else:
+                    grad_row[offset:offset + size] = param.grad.reshape(-1)
+                offset += size
+            pipe.send(("done",))
     finally:
         arena.close()

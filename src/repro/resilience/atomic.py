@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 import zlib
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, Optional, Union
@@ -32,6 +33,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_savez",
+    "read_npz",
     "crc32_file",
     "fsync_directory",
     "write_manifest",
@@ -120,6 +122,23 @@ def atomic_savez(path: PathLike, **arrays: np.ndarray) -> None:
     """
     with atomic_writer(path, "wb") as handle:
         np.savez_compressed(handle, **arrays)
+
+
+def read_npz(path: PathLike) -> Dict[str, np.ndarray]:
+    """Fully materialize an npz archive, or raise :class:`IntegrityError`.
+
+    Every member is decompressed here (not lazily), so truncation
+    anywhere in the archive surfaces as one typed error at load time
+    instead of a crash halfway through mutating the caller's state.
+    A missing file stays ``FileNotFoundError`` — absent is not corrupt.
+    """
+    try:
+        with np.load(os.fspath(path)) as archive:
+            return {key: archive[key] for key in archive.files}
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError) as exc:
+        raise IntegrityError(f"{os.fspath(path)}: unreadable archive: {exc}") from exc
 
 
 def crc32_file(path: PathLike, chunk_size: int = 1 << 20) -> int:

@@ -44,6 +44,7 @@ from .atomic import (
     atomic_savez,
     atomic_write_text,
     fsync_directory,
+    read_npz,
     verify_manifest,
     write_manifest,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "AsyncSaveHandle",
     "CheckpointManager",
     "IntegrityError",
+    "load_checkpoint_model",
     "validate_checkpoint",
 ]
 
@@ -96,6 +98,15 @@ def validate_checkpoint(path: str) -> Dict[str, Any]:
             f"supported version {STATE_SCHEMA}"
         )
     return state
+
+
+def load_checkpoint_model(path: str, model) -> None:
+    """Load a checkpoint's model weights into ``model``.
+
+    Callers verify the checkpoint first (:func:`validate_checkpoint`);
+    a torn archive still raises :class:`IntegrityError`.
+    """
+    model.load_state_dict(read_npz(os.path.join(path, _MODEL_FILE)))
 
 
 def _manifest_stamp(path: str) -> Optional[Tuple[int, int]]:
@@ -353,13 +364,11 @@ class CheckpointManager:
         Verification happens *before* any mutation, so a corrupt
         checkpoint raises :class:`IntegrityError` without half-loading.
         """
-        from ..nn.serialization import load_model, load_optimizer
-
         state = self.validate(path)
         if model is not None:
-            load_model(model, os.path.join(path, _MODEL_FILE))
+            load_checkpoint_model(path, model)
         if optimizer is not None:
-            load_optimizer(optimizer, os.path.join(path, _OPTIMIZER_FILE))
+            optimizer.load_state_dict(read_npz(os.path.join(path, _OPTIMIZER_FILE)))
         return state
 
     @staticmethod

@@ -17,8 +17,10 @@ Request lifecycle::
 Every lane (model replica) has a dedicated runner thread, so N
 replicas keep N batches in flight.  The engine records queue depth,
 cache hit counters, per-request latency and per-batch size/compute
-histograms into a :class:`repro.obs.MetricsRegistry`, per-batch spans
-into per-lane :class:`repro.obs.TimerTree`\\ s, and frees the compiled
+histograms into a :class:`repro.obs.MetricsRegistry` — the per-batch
+stage split lives in ``serve.batch.compute_s`` (forward) and
+``serve.batch.total_s`` (staging + forward + completion), and in the
+``serve.batch`` spans when a tracer is armed — and frees the compiled
 inference arenas (parent *and* replicas) after ``idle_reclaim_s`` of
 silence so memory is reclaimed between traffic bursts.
 """
@@ -41,12 +43,15 @@ from ..nn import functional as F
 from ..obs.aggregate import FleetAggregator, mergeable_snapshot, summarize_snapshot
 from ..obs.flight import dump_flight, record_flight_event
 from ..obs.metrics import MetricsRegistry, default_registry
-from ..obs.timing import TimerTree
 from ..obs.top import BREAKER_STATE_CODES
 from ..obs.trace import current_tracer
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.chaos import chaos_point
-from ..resilience.checkpoint import IntegrityError, validate_checkpoint
+from ..resilience.checkpoint import (
+    IntegrityError,
+    load_checkpoint_model,
+    validate_checkpoint,
+)
 from .backend import make_backend, model_infer_fn
 from .batcher import SHED_BREAKER_OPEN, MicroBatcher, Overloaded
 from .cache import ResultCache
@@ -415,10 +420,6 @@ class ServeEngine:
         )
         self._generation_gauge.set(1)
 
-        #: One span tree per lane; TimerTree is single-threaded.
-        self.timers: Tuple[TimerTree, ...] = tuple(
-            TimerTree() for _ in range(num_lanes)
-        )
         self._idle_lock = threading.Lock()
         self._reclaimed = True  # nothing to free before the first batch
         self._closed = False
@@ -549,11 +550,9 @@ class ServeEngine:
                     ) from exc
 
                 chaos_point("serve.swap.load", path=checkpoint, generation=next_id)
-                from ..nn.serialization import load_model
-
                 candidate = copy.deepcopy(current.model)
                 try:
-                    load_model(candidate, os.path.join(checkpoint, "model.npz"))
+                    load_checkpoint_model(checkpoint, candidate)
                 except (IntegrityError, FileNotFoundError, ValueError, KeyError) as exc:
                     raise SwapFailed(
                         f"checkpoint {checkpoint} weights unloadable: {exc}"
@@ -738,13 +737,6 @@ class ServeEngine:
             "cache": self.cache.stats() if self.cache is not None else None,
         }
 
-    def timer_report(self, min_seconds: float = 0.0) -> str:
-        """Per-lane span report (batch / infer / complete)."""
-        blocks = []
-        for lane, tree in enumerate(self.timers):
-            blocks.append(f"lane {lane}\n{tree.format_report(min_seconds)}")
-        return "\n\n".join(blocks)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Drain pending requests, stop runners, shut the backend down."""
@@ -800,7 +792,6 @@ class ServeEngine:
         )
 
     def _run_lane(self, lane: int) -> None:
-        tree = self.timers[lane]
         staging = None
         if self._input_hw is not None:
             h, w = self._input_hw
@@ -835,7 +826,7 @@ class ServeEngine:
             # generation; the swap drains on this lease).
             gen = self._lease()
             try:
-                self._process(lane, tree, batch, staging, flush_reason, gen)
+                self._process(lane, batch, staging, flush_reason, gen)
             except BaseException as error:  # keep the lane alive
                 self._errors.inc()
                 for request in batch:
@@ -844,7 +835,7 @@ class ServeEngine:
                 self._release(gen)
 
     def _process(
-        self, lane: int, tree: TimerTree, batch, staging, flush_reason, gen: _Generation
+        self, lane: int, batch, staging, flush_reason, gen: _Generation
     ) -> None:
         batch_started = time.monotonic()
         # One probe per batch; `request.trace` is only ever non-None
@@ -871,42 +862,37 @@ class ServeEngine:
                 tracer.end(
                     queue_span, duration_s=batch_started - request.submitted_at
                 )
-        with tree.span("batch"):
-            count = len(batch)
-            if staging is None:
-                inputs = np.stack([request.tensor for request in batch])
-            else:
-                inputs = staging[:count]
-                for i, request in enumerate(batch):
-                    inputs[i] = request.tensor
-            with tree.span("infer"):
-                compute_started = time.monotonic()
-                probabilities, scores = self._infer(lane, inputs, batch_span, gen)
-                compute_s = time.monotonic() - compute_started
-            with tree.span("complete"):
-                completed = time.monotonic()
-                # A swap that committed while this batch was in flight
-                # cleared the cache for the *new* generation; writing
-                # this (old-generation) batch back would repollute it.
-                cacheable = (
-                    self.cache is not None and gen is self._generation
+        count = len(batch)
+        if staging is None:
+            inputs = np.stack([request.tensor for request in batch])
+        else:
+            inputs = staging[:count]
+            for i, request in enumerate(batch):
+                inputs[i] = request.tensor
+        compute_started = time.monotonic()
+        probabilities, scores = self._infer(lane, inputs, batch_span, gen)
+        completed = time.monotonic()
+        compute_s = completed - compute_started
+        # A swap that committed while this batch was in flight cleared
+        # the cache for the *new* generation; writing this
+        # (old-generation) batch back would repollute it.
+        cacheable = self.cache is not None and gen is self._generation
+        for i, request in enumerate(batch):
+            score = float(scores[i])
+            if cacheable and request.key is not None:
+                self.cache.put(request.key, probabilities[i], score)
+            latency = completed - request.submitted_at
+            request.future._set(self._finish(
+                probabilities[i], score, cached=False,
+                latency_s=latency, gen=gen,
+            ))
+            self._latency.observe(latency)
+            if request.trace is not None and tracer is not None:
+                respond = tracer.start_span(
+                    "serve.respond", parent=request.trace.context,
                 )
-                for i, request in enumerate(batch):
-                    score = float(scores[i])
-                    if cacheable and request.key is not None:
-                        self.cache.put(request.key, probabilities[i], score)
-                    latency = completed - request.submitted_at
-                    request.future._set(self._finish(
-                        probabilities[i], score, cached=False,
-                        latency_s=latency, gen=gen,
-                    ))
-                    self._latency.observe(latency)
-                    if request.trace is not None and tracer is not None:
-                        respond = tracer.start_span(
-                            "serve.respond", parent=request.trace.context,
-                        )
-                        tracer.end(respond)
-                        tracer.end(request.trace, duration_s=latency)
+                tracer.end(respond)
+                tracer.end(request.trace, duration_s=latency)
         if batch_span is not None:
             tracer.end(batch_span)
         self._flush_counters[flush_reason].inc()

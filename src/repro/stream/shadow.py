@@ -164,11 +164,10 @@ class ShadowTrainer:
         correct = probabilities.argmax(axis=1) == validation.labels
         calibration = threshold_for_coverage(scores, self.target_coverage, correct)
         threshold = float(calibration.threshold)
-        accepted = scores >= threshold
-        val_coverage = float(accepted.mean()) if accepted.size else 0.0
-        val_accuracy = (
-            float(correct[accepted].mean()) if accepted.any() else 0.0
-        )
+        # The k-th score always passes its own threshold, so at least one
+        # sample is accepted and realized_accuracy is never None here.
+        val_coverage = calibration.realized_coverage
+        val_accuracy = calibration.realized_accuracy
 
         self.retrains += 1
         path = self.checkpoints.save(

@@ -1,5 +1,8 @@
 """Tests for the training loop."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.core.cnn import BackboneConfig, WaferCNN
 from repro.core.selective import SelectiveNet
 from repro.core.trainer import EpochStats, TrainConfig, Trainer, TrainHistory
 from repro.data.dataset import WaferDataset
+from repro.parallel import parallel_supported
 
 
 def small_backbone():
@@ -248,3 +252,34 @@ class TestObservability:
         assert types == [
             "run_start", "config", "epoch", "epoch", "train_summary", "run_end",
         ]
+
+
+class _Enough(Exception):
+    """Raised from the epoch callback to end training early."""
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.skipif(not parallel_supported(2), reason="parallel execution unavailable")
+class TestStopFromCallback:
+    def test_callback_exception_leaves_nothing_running(self):
+        """An exception from the epoch callback ends ``fit`` and tears the
+        data-parallel pool down: no child process, no shared segment."""
+        before = _shm_entries()
+        model = SelectiveNet(num_classes=2, config=small_backbone())
+        trainer = Trainer(
+            model,
+            TrainConfig(epochs=4, batch_size=8, target_coverage=0.7, num_workers=2),
+        )
+
+        def stop_at_first_epoch(stats):
+            if stats.epoch == 1:
+                raise _Enough
+
+        with pytest.raises(_Enough):
+            trainer.fit(blob_dataset(n_per_class=8), callback=stop_at_first_epoch)
+        assert len(trainer.history.epochs) == 1
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() - before == set()
